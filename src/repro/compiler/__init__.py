@@ -17,6 +17,7 @@ pa+aos      AOS plus PA pointer integrity with autm on-load checks
 
 from .passes import (
     LoweredWorkload,
+    LoweringPlan,
     lower_trace,
     BaselineLowering,
     WatchdogLowering,
@@ -26,6 +27,7 @@ from .passes import (
 
 __all__ = [
     "LoweredWorkload",
+    "LoweringPlan",
     "lower_trace",
     "BaselineLowering",
     "WatchdogLowering",

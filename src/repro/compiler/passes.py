@@ -6,6 +6,10 @@ identical, deterministic address stream) and emits the instrumentation that
 mechanism requires.  The AOS lowerings also sign pointers and pre-populate
 the HBT with the preamble live set — the objects that were already
 allocated when the measured window begins.
+
+The work that depends only on the trace — the dependency draws, the signed
+preamble and the preamble-warmed HBT — lives in a :class:`LoweringPlan`,
+which every lowering of one trace can share (see DESIGN.md §4).
 """
 
 from __future__ import annotations
@@ -13,7 +17,8 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional
+from functools import partial
+from typing import Callable, Dict, Hashable, List, Optional, Sequence, Tuple, TypeVar
 
 from ..config import SystemConfig, default_config
 from ..crypto.pac import PACGenerator, PAKeys
@@ -32,6 +37,68 @@ from ..workloads.generator import WorkloadTrace
 #: Maximum dependency distance the pipeline's completion ring supports.
 MAX_DEP_DISTANCE = 480
 
+#: Trace events that take one dependency draw each.
+_DRAWING_EVENTS = frozenset({"alu", "falu", "ld", "st", "uld", "ust"})
+
+_T = TypeVar("_T")
+
+
+def _draw_deps(trace: WorkloadTrace) -> List[int]:
+    """The dependency distance of every event of ``trace`` (0 for none).
+
+    ALU, FALU, load and store events take one draw each from a stream
+    seeded by the trace alone; other events take none.  The draws are the
+    same for every mechanism, so a :class:`LoweringPlan` makes them once
+    per trace.
+    """
+    rng = random.Random(trace.seed ^ 0x5EED)
+    draw, randrange = rng.random, rng.randrange
+    dep_prob = trace.profile.dep_prob
+    ilp_distance = trace.profile.ilp_distance
+    return [
+        1 + randrange(ilp_distance)
+        if event[0] in _DRAWING_EVENTS and draw() < dep_prob
+        else 0
+        for event in trace.events
+    ]
+
+
+class LoweringPlan:
+    """The lowering work that depends only on the trace, done once.
+
+    Every mechanism lowers one trace with the same dependency draws and,
+    on a fresh allocator, the same preamble addresses, so lowerings of one
+    trace can share:
+
+    - the dependency draw of every event (:meth:`dep_draws`);
+    - the signed preamble and the preamble-warmed HBT prototype, each
+      under a key that names every input it depends on (:meth:`shared`).
+
+    Lowerings read a plan and never change what it holds, so a lowering
+    served from a warm plan emits exactly what one with a fresh plan
+    does.  The allocator is not shared: each lowering replays the preamble
+    into a private :class:`HeapAllocator`, because the window's mallocs
+    and frees (REST's quarantine, MTE's and CryptSan's ``allocated_size``)
+    mutate it.  A plan holds its trace and is only valid for it.
+    """
+
+    def __init__(self, trace: WorkloadTrace) -> None:
+        self.trace = trace
+        self._deps: Optional[List[int]] = None
+        self._shared: Dict[Hashable, object] = {}
+
+    def dep_draws(self) -> List[int]:
+        """The dependency distance of every event (see :func:`_draw_deps`)."""
+        if self._deps is None:
+            self._deps = _draw_deps(self.trace)
+        return self._deps
+
+    def shared(self, key: Hashable, build: Callable[[], _T]) -> _T:
+        """The value for ``key``, built by the first lowering that asks."""
+        if key not in self._shared:
+            self._shared[key] = build()
+        return self._shared[key]  # type: ignore[return-value]
+
 
 @dataclass
 class LoweredWorkload:
@@ -43,6 +110,7 @@ class LoweredWorkload:
     pointer_layout: Optional[PointerLayout] = None
     #: Builds a *fresh* pre-warmed HBT; called once per simulation run so
     #: repeated runs (pytest-benchmark rounds) don't accumulate state.
+    #: It holds the shared prototype only, never the lowering.
     hbt_factory: Optional[Callable[[], HashedBoundsTable]] = None
     #: Dynamic-instruction count of the unprotected lowering, for
     #: instruction-overhead reporting (§I's "44 % more dynamic instructions").
@@ -57,7 +125,11 @@ class LoweredWorkload:
 
 
 class _LoweringBase:
-    """Shared machinery: allocator execution, addresses, dependency dice."""
+    """Shared machinery: allocator execution, addresses, the event loop.
+
+    ``plan`` is the trace's :class:`LoweringPlan`; a lowering without one
+    makes its own, which is what a cold lowering does.
+    """
 
     mechanism = "baseline"
 
@@ -66,8 +138,12 @@ class _LoweringBase:
         trace: WorkloadTrace,
         config: Optional[SystemConfig] = None,
         address_layout: AddressSpaceLayout = DEFAULT_LAYOUT,
+        plan: Optional[LoweringPlan] = None,
     ) -> None:
+        if plan is not None and plan.trace is not trace:
+            raise ValueError("a LoweringPlan lowers only the trace it was made for")
         self.trace = trace
+        self.plan = plan if plan is not None else LoweringPlan(trace)
         self.config = config or default_config(self.mechanism)
         self.address_layout = address_layout
         self.memory = SparseMemory()
@@ -75,9 +151,6 @@ class _LoweringBase:
         self.builder = ProgramBuilder(name=f"{trace.name}:{self.mechanism}")
         #: obj id -> pointer handed to the program (signed under AOS).
         self.pointers: Dict[int, int] = {}
-        #: Dependency dice — one deterministic stream shared by mechanism
-        #: variants (same seed, same draws per event).
-        self._dep_rng = random.Random(trace.seed ^ 0x5EED)
         self._last_load_index: Optional[int] = None
         self._stack_hot = address_layout.stack_top - 0x2000
 
@@ -85,8 +158,9 @@ class _LoweringBase:
 
     def setup_preamble(self) -> None:
         """Allocate the preamble live set (untimed warm state)."""
-        for obj, size in self.trace.preamble:
-            self.pointers[obj] = self.allocator.malloc(size)
+        preamble = self.trace.preamble
+        raws = self.allocator.malloc_many([size for _, size in preamble])
+        self.pointers.update(zip((obj for obj, _ in preamble), raws))
 
     def lower_malloc(self, obj: int, size: int) -> None:
         self._emit_allocator_work(size)
@@ -146,13 +220,6 @@ class _LoweringBase:
     def _emit_store(self, address: int, dep: int) -> None:
         self.builder.emit_op(Op.STORE, address=address, deps=self._dep_tuple(dep))
 
-    def _draw_dep(self) -> int:
-        """One dependency draw per event — identical across mechanisms."""
-        profile = self.trace.profile
-        if self._dep_rng.random() < profile.dep_prob:
-            return 1 + self._dep_rng.randrange(profile.ilp_distance)
-        return 0
-
     def _unsigned_address(self, kind: int, offset: int) -> int:
         if kind == 0:
             return self._stack_hot + offset
@@ -162,29 +229,23 @@ class _LoweringBase:
 
     def lower(self) -> LoweredWorkload:
         self.setup_preamble()
-        for event in self.trace.events:
+        for event, dep in zip(self.trace.events, self.plan.dep_draws()):
             tag = event[0]
             if tag == "alu":
-                dep = self._draw_dep()
                 self.builder.emit_op(Op.ALU, deps=self._dep_tuple(dep))
             elif tag == "falu":
-                dep = self._draw_dep()
                 self.builder.emit_op(Op.FALU, deps=self._dep_tuple(dep))
             elif tag == "ld":
                 _, obj, offset, is_ptr, chase = event
-                dep = self._draw_dep()
                 self.lower_heap_load(obj, self.heap_address(obj, offset), is_ptr, chase, dep)
             elif tag == "st":
                 _, obj, offset, is_ptr = event
-                dep = self._draw_dep()
                 self.lower_heap_store(obj, self.heap_address(obj, offset), is_ptr, dep)
             elif tag == "uld":
                 _, kind, offset = event
-                dep = self._draw_dep()
                 self._emit_load(self._unsigned_address(kind, offset), False, dep)
             elif tag == "ust":
                 _, kind, offset = event
-                dep = self._draw_dep()
                 self._emit_store(self._unsigned_address(kind, offset), dep)
             elif tag == "br":
                 self.builder.emit_op(Op.BRANCH, mispredicted=event[1])
@@ -539,10 +600,70 @@ class CryptSanLowering(_LoweringBase):
         self._emit_store(address, dep if dep else 1)
 
 
+class _PrewarmedHBT:
+    """The ``hbt_factory`` of the AOS lowerings: one preamble-warmed HBT,
+    cloned per simulation run.
+
+    The first call inserts the preamble into a fresh table (a lowered
+    program that never runs pays nothing) and keeps the table only once
+    every insert has succeeded: a call that fails, because the table would
+    outgrow its maximum associativity, keeps nothing, so the next call
+    fails the same way.  Every lowering that shares this object — ``aos``
+    and ``pa+aos`` of one trace, under one signing key and HBT geometry —
+    then clones the kept table.  It holds the table's constructor, the
+    preamble and its signed pointers, and nothing of the lowering itself.
+    """
+
+    def __init__(
+        self,
+        empty: Callable[[], HashedBoundsTable],
+        layout: PointerLayout,
+        preamble: Sequence[Tuple[int, int]],
+        signed: Sequence[int],
+    ) -> None:
+        self._empty = empty
+        self._layout = layout
+        self._preamble = preamble
+        self._signed = signed
+        self._hbt: Optional[HashedBoundsTable] = None
+
+    def __call__(self) -> HashedBoundsTable:
+        if self._hbt is None:
+            hbt = self._empty()
+            layout = self._layout
+            for (_, size), pointer in zip(self._preamble, self._signed):
+                self._insert_with_resize(
+                    hbt, layout.pac(pointer), layout.address(pointer), size
+                )
+            self._hbt = hbt
+            self._preamble = self._signed = ()
+        return self._hbt.clone()
+
+    @staticmethod
+    def _insert_with_resize(
+        hbt: HashedBoundsTable, pac: int, lower: int, size: int
+    ) -> None:
+        while True:
+            try:
+                hbt.insert(pac, lower, size)
+                return
+            except SimulationError:
+                # Insertion failure -> AOS exception -> OS resize (§IV-D).
+                hbt.begin_resize()
+                hbt.finish_resize()
+
+
 class AOSLowering(_LoweringBase):
     """AOS (Fig. 7): sign heap pointers, manage bounds, no per-access
     instrumentation.  ``pa_integrity=True`` gives the PA+AOS configuration:
-    call/ret signing plus 1-cycle ``autm`` on-load authentication."""
+    call/ret signing plus 1-cycle ``autm`` on-load authentication.
+
+    The signed preamble and the preamble-warmed HBT come from the trace's
+    :class:`LoweringPlan`, keyed by everything they depend on: the address
+    layout, the PA key, ``pac_bits``, the PAC mode and ``sp`` for the
+    signing, plus the HBT geometry and bounds compression for the table.
+    ``aos`` and ``pa+aos`` of one trace share both.
+    """
 
     mechanism = "aos"
 
@@ -553,10 +674,11 @@ class AOSLowering(_LoweringBase):
         address_layout: AddressSpaceLayout = DEFAULT_LAYOUT,
         pa_integrity: bool = False,
         pac_mode: str = "fast",
+        plan: Optional[LoweringPlan] = None,
     ) -> None:
         if pa_integrity:
             self.mechanism = "pa+aos"
-        super().__init__(trace, config, address_layout)
+        super().__init__(trace, config, address_layout, plan)
         self.pa_integrity = pa_integrity
 
         # Scale the PAC space with the live-set scale so HBT occupancy per
@@ -571,54 +693,52 @@ class AOSLowering(_LoweringBase):
         )
         self.signer = PointerSigner(generator=generator, layout=self.pointer_layout)
         self.sp = address_layout.stack_top - 0x100
-        #: (pac, address, size) triples pre-inserted into every fresh HBT.
-        self._preamble_bounds: List[tuple] = []
-        #: Preamble-warmed HBT the factory clones per run (built lazily on
-        #: the first run instead of re-walking every preamble insert).
-        self._hbt_prototype: Optional[HashedBoundsTable] = None
+        #: Everything the signed preamble depends on besides the trace.
+        self._signing_key = (
+            address_layout,
+            self.config.pa.key,
+            self.pac_bits,
+            pac_mode,
+            self.sp,
+        )
+        #: The signed preamble pointers, shared through the plan.
+        self._preamble_signed: List[int] = []
 
     # ------------------------------------------------------------- preamble
 
     def setup_preamble(self) -> None:
         # Allocate first (malloc order defines the address layout), then
-        # sign the whole preamble in one batch: QARMA mode vectorises the
-        # PAC computation instead of one scalar permutation per object.
-        sizes = [size for _, size in self.trace.preamble]
-        raws = [self.allocator.malloc(size) for size in sizes]
-        layout = self.pointer_layout
-        for (obj, size), signed in zip(
-            self.trace.preamble, self.signer.pacma_batch(raws, self.sp, sizes)
-        ):
-            self.pointers[obj] = signed
-            self._preamble_bounds.append(
-                (layout.pac(signed), layout.address(signed), size)
-            )
+        # take the signed preamble from the plan: the first lowering with
+        # this signing key signs it in one batch (QARMA mode vectorises the
+        # PAC computation instead of one scalar permutation per object).
+        preamble = self.trace.preamble
+        sizes = [size for _, size in preamble]
+        raws = self.allocator.malloc_many(sizes)
+        self._preamble_signed = self.plan.shared(
+            ("preamble",) + self._signing_key,
+            lambda: self.signer.pacma_batch(raws, self.sp, sizes),
+        )
+        self.pointers.update(zip((obj for obj, _ in preamble), self._preamble_signed))
 
-    def _make_hbt(self) -> HashedBoundsTable:
-        if self._hbt_prototype is None:
-            hbt = HashedBoundsTable(
-                pac_bits=self.pac_bits,
-                initial_ways=self.config.hbt.initial_ways,
-                layout=self.address_layout,
-                compression=self.config.aos.bounds_compression,
-            )
-            for pac, address, size in self._preamble_bounds:
-                self._insert_with_resize(hbt, pac, address, size)
-            self._hbt_prototype = hbt
-        return self._hbt_prototype.clone()
-
-    @staticmethod
-    def _insert_with_resize(
-        hbt: HashedBoundsTable, pac: int, lower: int, size: int
-    ) -> None:
-        while True:
-            try:
-                hbt.insert(pac, lower, size)
-                return
-            except SimulationError:
-                # Insertion failure -> AOS exception -> OS resize (§IV-D).
-                hbt.begin_resize()
-                hbt.finish_resize()
+    def _hbt_factory(self) -> _PrewarmedHBT:
+        hbt, compression = self.config.hbt, self.config.aos.bounds_compression
+        # ``partial`` and the shared lists hold no reference to self.
+        empty = partial(
+            HashedBoundsTable,
+            pac_bits=self.pac_bits,
+            initial_ways=hbt.initial_ways,
+            layout=self.address_layout,
+            compression=compression,
+        )
+        layout, preamble, signed = (
+            self.pointer_layout,
+            self.trace.preamble,
+            self._preamble_signed,
+        )
+        return self.plan.shared(
+            ("hbt",) + self._signing_key + (hbt, compression),
+            lambda: _PrewarmedHBT(empty, layout, preamble, signed),
+        )
 
     # ------------------------------------------------------------ lowerings
 
@@ -668,7 +788,7 @@ class AOSLowering(_LoweringBase):
             mechanism=self.mechanism,
             program=self.builder.build(),
             pointer_layout=self.pointer_layout,
-            hbt_factory=self._make_hbt,
+            hbt_factory=self._hbt_factory(),
             trace_events=len(self.trace.events),
         )
 
@@ -714,13 +834,23 @@ def lower_trace(
     mechanism: str,
     config: Optional[SystemConfig] = None,
     pac_mode: str = "fast",
+    plan: Optional[LoweringPlan] = None,
 ) -> LoweredWorkload:
-    """Lower ``trace`` for one protection mechanism."""
+    """Lower ``trace`` for one protection mechanism.
+
+    ``plan`` is the trace's :class:`LoweringPlan`, to share per-trace work
+    with other lowerings of the same trace; without one the lowering does
+    all of it alone.  The program is the same either way.
+    """
     mechanism = resolve_lowering(mechanism)
     if mechanism in _LOWERINGS:
-        lowering = _LOWERINGS[mechanism](trace, config)
-    elif mechanism == "aos":
-        lowering = AOSLowering(trace, config, pa_integrity=False, pac_mode=pac_mode)
+        lowering = _LOWERINGS[mechanism](trace, config, plan=plan)
     else:
-        lowering = AOSLowering(trace, config, pa_integrity=True, pac_mode=pac_mode)
+        lowering = AOSLowering(
+            trace,
+            config,
+            pa_integrity=mechanism == "pa+aos",
+            pac_mode=pac_mode,
+            plan=plan,
+        )
     return lowering.lower()

@@ -28,6 +28,7 @@ cache files are treated as misses and removed.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 import json
 import os
@@ -37,7 +38,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Dict, Iterable, List, Optional, Tuple, Union
 
-from ..compiler import lower_trace
+from ..compiler import LoweringPlan, lower_trace
 from ..config import SystemConfig
 from ..cpu.core import SimulationResult, Simulator
 from ..workloads import WorkloadTrace, generate_trace, get_profile
@@ -284,7 +285,9 @@ class ArtifactCache:
         #: Kept for callers that print/inspect the cache location; None
         #: for backends without one (memory).
         self.root: Optional[Path] = getattr(backend, "root", None)
-        self.max_bytes = max_bytes if max_bytes is not None else default_cache_max_bytes()
+        self.max_bytes = (
+            max_bytes if max_bytes is not None else default_cache_max_bytes()
+        )
         self.stats = CacheStats()
 
     # -------------------------------------------------------------- plumbing
@@ -420,6 +423,74 @@ def generate_cell_trace(settings: RunSettings, workload: str) -> WorkloadTrace:
     )
 
 
+#: The trace this process built last for a cell, with its lowering plan:
+#: ``(key, trace, plan)``.  The five mechanisms of a sweep lower one trace
+#: back to back, so consecutive cells of one workload share it; a single
+#: entry bounds the memo to one trace.  :func:`run_cells` and
+#: :func:`run_cells_supervised` clear it when they return, so a long-lived
+#: caller does not keep the last trace.  Never pickled: the plan stays off
+#: the ``WorkloadTrace`` that the artifact cache stores.
+_TRACE_MEMO: Optional[Tuple[Tuple, WorkloadTrace, LoweringPlan]] = None
+
+
+def _cell_trace(
+    settings: RunSettings, cell: CellSpec
+) -> Tuple[WorkloadTrace, Optional[LoweringPlan]]:
+    """The trace of ``cell`` and its lowering plan, from the memo if it can.
+
+    The key is exactly what determines the trace: the inputs of
+    :func:`generate_cell_trace` for a synthetic cell, the file's digest for
+    an ingested one.  Only a miss generates or imports.  An ingested cell
+    without a digest has no key and takes a fresh trace with no plan.
+    """
+    global _TRACE_MEMO
+    if cell.trace_path is not None:
+        from ..traces import import_trace
+
+        if cell.trace_digest is None:
+            return import_trace(cell.trace_path), None
+        key: Tuple = ("ingested", cell.trace_digest)
+    else:
+        key = (
+            get_profile(cell.workload),
+            settings.instructions,
+            settings.seed,
+            settings.scale,
+        )
+    entry = _TRACE_MEMO
+    if entry is None or entry[0] != key:
+        # Drop the old trace before building the next: one at a time.
+        entry = _TRACE_MEMO = None
+        if cell.trace_path is not None:
+            # Ingested cell: the trace file is the source of truth.  The
+            # import is deterministic (pure function of the file bytes),
+            # so pool workers stay bit-identical to the serial path.
+            trace = import_trace(cell.trace_path)
+        else:
+            trace = generate_cell_trace(settings, cell.workload)
+        entry = _TRACE_MEMO = (key, trace, LoweringPlan(trace))
+    return entry[1], entry[2]
+
+
+def _releases_trace_memo(run: Callable) -> Callable:
+    """Clear the one-trace memo when ``run`` returns or raises.
+
+    A batch of cells is done with its traces when it returns; a long-lived
+    process (a queue worker between leases, an interactive session) should
+    not keep the last trace and its plan until the next batch.
+    """
+
+    @functools.wraps(run)
+    def wrapper(*args, **kwargs):
+        global _TRACE_MEMO
+        try:
+            return run(*args, **kwargs)
+        finally:
+            _TRACE_MEMO = None
+
+    return wrapper
+
+
 def supervised_cell_key(cell: CellSpec) -> str:
     """The stable string key one cell carries through the supervisor."""
     return f"{cell.workload}/{cell.key or cell.mechanism}"
@@ -431,12 +502,15 @@ def simulate_cell(
     trace: Optional[WorkloadTrace] = None,
     paranoid: bool = False,
 ) -> SimulationResult:
-    """Run one cell from scratch: trace -> lowering -> simulation.
+    """Run one cell: trace -> lowering -> simulation.
 
     This is the single simulation implementation shared by the serial
     ``ExperimentSuite`` path and the pool workers, which is what makes the
     parallel engine bit-identical to the serial one: both call exactly this
-    function with exactly these (deterministic) inputs.
+    function with exactly these (deterministic) inputs.  The trace and its
+    lowering plan come from the process's one-trace memo (see
+    :func:`_cell_trace`), so a sweep's mechanisms share them; a ``trace``
+    passed in is lowered on its own.
 
     ``paranoid=True`` audits the drained MCU/HBT state through the
     invariant oracle before the result is accepted; a violated invariant
@@ -449,17 +523,10 @@ def simulate_cell(
     — live registries and tracers never cross the process boundary.
     """
     config = cell.resolved_config(settings)
+    plan = None
     if trace is None:
-        if cell.trace_path is not None:
-            # Ingested cell: the trace file is the source of truth.  The
-            # import is deterministic (pure function of the file bytes),
-            # so pool workers stay bit-identical to the serial path.
-            from ..traces import import_trace
-
-            trace = import_trace(cell.trace_path)
-        else:
-            trace = generate_cell_trace(settings, cell.workload)
-    lowered = lower_trace(trace, cell.mechanism, config=config)
+        trace, plan = _cell_trace(settings, cell)
+    lowered = lower_trace(trace, cell.mechanism, config=config, plan=plan)
     inspect = None
     if paranoid:
         from ..supervise.oracle import InvariantOracle
@@ -491,12 +558,7 @@ def batch_simulate_cells(
     batch: List[BatchCell] = []
     for cell in cells:
         config = cell.resolved_config(settings)
-        if cell.trace_path is not None:
-            from ..traces import import_trace
-
-            trace = import_trace(cell.trace_path)
-        else:
-            trace = generate_cell_trace(settings, cell.workload)
+        trace, plan = _cell_trace(settings, cell)
         inspect = None
         if paranoid:
             from ..supervise.oracle import InvariantOracle
@@ -506,7 +568,7 @@ def batch_simulate_cells(
             BatchCell(
                 label=supervised_cell_key(cell),
                 config=config,
-                lowered=lower_trace(trace, cell.mechanism, config=config),
+                lowered=lower_trace(trace, cell.mechanism, config=config, plan=plan),
                 obs=settings.obs.create(),
                 guard_inject=settings.guard_inject,
                 inspect=inspect,
@@ -570,6 +632,7 @@ def _fan_out(
 BATCH_MODES = ("auto", "never", "always")
 
 
+@_releases_trace_memo
 def run_cells(
     settings: RunSettings,
     cells: Iterable[CellSpec],
@@ -625,6 +688,7 @@ def run_cells(
     return {cell.cache_key: result for cell, result in zip(cells, results)}
 
 
+@_releases_trace_memo
 def run_cells_supervised(
     settings: RunSettings,
     cells: Iterable[CellSpec],

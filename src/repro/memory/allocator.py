@@ -24,7 +24,7 @@ active chunks).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Sequence
 
 from ..errors import AllocatorError
 from .layout import AddressSpaceLayout, DEFAULT_LAYOUT
@@ -54,7 +54,7 @@ def chunk_size_for_request(request: int) -> int:
     return max(MIN_CHUNK, _align_up(request + HEADER_SIZE))
 
 
-@dataclass
+@dataclass(slots=True)
 class Chunk:
     """Registry view of a live or free chunk (mirror of in-memory tags)."""
 
@@ -90,6 +90,15 @@ class AllocatorStats:
         self.allocations += 1
         self.active += 1
         self.bytes_allocated += size
+        if self.active > self.max_active:
+            self.max_active = self.active
+
+    def on_alloc_many(self, count: int, total_size: int) -> None:
+        """``count`` back-to-back :meth:`on_alloc` calls of ``total_size``
+        bytes in all (no free in between, so ``active`` peaks at the end)."""
+        self.allocations += count
+        self.active += count
+        self.bytes_allocated += total_size
         if self.active > self.max_active:
             self.max_active = self.active
 
@@ -179,6 +188,38 @@ class HeapAllocator:
             # for it with the requested size; there is no registry entry.
             self.stats.on_alloc(size - HEADER_SIZE)
         return payload
+
+    def malloc_many(self, requests: Sequence[int]) -> List[int]:
+        """``[self.malloc(r) for r in requests]``, in one pass where it can.
+
+        With nothing free (no tcache, fastbin or bin entry) every malloc
+        of the run extends the top chunk, so the chunks are laid out back
+        to back: one registry entry and one size-field write each, and one
+        statistics update for the run.  This is the state a fresh allocator
+        is in when a lowering replays a trace's preamble.  Any other state,
+        or a run that would exhaust the heap, takes the per-call path.
+        """
+        sizes = [chunk_size_for_request(request or 1) for request in requests]
+        if (
+            any(self._tcache.values())
+            or any(self._fastbins.values())
+            or any(self._bins.values())
+            or self._brk + sum(sizes) > self.layout.heap_end
+        ):
+            return [self.malloc(request) for request in requests]
+        chunks = self._chunks
+        brk = self._brk
+        write_u64 = self.memory.write_u64
+        payloads = []
+        for size in sizes:
+            chunks[brk] = Chunk(brk, size, True)
+            write_u64(brk + 8, size | PREV_INUSE)
+            payloads.append(brk + HEADER_SIZE)
+            brk += size
+        usable = brk - self._brk - HEADER_SIZE * len(sizes)
+        self.stats.on_alloc_many(len(sizes), usable)
+        self._brk = brk
+        return payloads
 
     def _take_cached(self, size: int) -> Optional[int]:
         """Try the tcache then the fastbins (LIFO, no coalescing)."""

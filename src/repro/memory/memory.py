@@ -7,6 +7,7 @@ little-endian, matching AArch64.
 
 from __future__ import annotations
 
+import struct
 from typing import Dict
 
 from ..errors import MemoryError_
@@ -14,6 +15,8 @@ from ..errors import MemoryError_
 PAGE_SHIFT = 12
 PAGE_SIZE = 1 << PAGE_SHIFT
 PAGE_MASK = PAGE_SIZE - 1
+_U64_MASK = (1 << 64) - 1
+_PACK_U64 = struct.Struct("<Q").pack_into
 
 
 class SparseMemory:
@@ -83,7 +86,12 @@ class SparseMemory:
         return int.from_bytes(self.read_bytes(address, 8), "little")
 
     def write_u64(self, address: int, value: int) -> None:
-        self.write_bytes(address, (value & ((1 << 64) - 1)).to_bytes(8, "little"))
+        offset = address & PAGE_MASK
+        if 0 <= address and address + 8 <= self._limit and offset <= PAGE_SIZE - 8:
+            # In-page word: pack straight into the page.
+            _PACK_U64(self._page(address >> PAGE_SHIFT), offset, value & _U64_MASK)
+        else:
+            self.write_bytes(address, (value & _U64_MASK).to_bytes(8, "little"))
 
     def read_u32(self, address: int) -> int:
         return int.from_bytes(self.read_bytes(address, 4), "little")

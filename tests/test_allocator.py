@@ -185,3 +185,49 @@ def test_no_live_overlap_property(sizes):
     spans = sorted((p, p + s) for p, s in live)
     for (a0, a1), (b0, b1) in zip(spans, spans[1:]):
         assert a1 <= b0
+
+
+def _state(alloc):
+    return (
+        alloc.heap_used,
+        alloc.stats,
+        alloc.memory._pages,
+        [(c.address, c.size, c.in_use) for c in alloc.live_chunks()],
+    )
+
+
+class TestMallocMany:
+    """The bulk path must leave exactly the state a malloc loop leaves."""
+
+    @given(
+        st.lists(st.integers(min_value=0, max_value=9000), max_size=80),
+        st.lists(st.integers(min_value=1, max_value=2048), max_size=6),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_matches_malloc_loop(self, requests, churn):
+        bulk, loop = make_allocator(), make_allocator()
+        for alloc in (bulk, loop):
+            # Optional churn first: with freed chunks in the bins the bulk
+            # path must fall back to per-call mallocs that reuse them.
+            for size in churn:
+                alloc.free(alloc.malloc(size))
+        assert bulk.malloc_many(requests) == [loop.malloc(r) for r in requests]
+        assert _state(bulk) == _state(loop)
+
+    def test_fresh_allocator_lays_chunks_back_to_back(self):
+        alloc = make_allocator()
+        payloads = alloc.malloc_many([1, 100, 0, 4096])
+        sizes = [chunk_size_for_request(r) for r in (1, 100, 1, 4096)]
+        expected = DEFAULT_LAYOUT.heap_base + HEADER_SIZE
+        for payload, size in zip(payloads, sizes):
+            assert payload == expected
+            assert alloc.allocated_size(payload) == size - HEADER_SIZE
+            expected += size
+        assert alloc.stats.max_active == 4
+
+    def test_exhaustion_raises_like_malloc(self):
+        alloc = make_allocator()
+        with pytest.raises(AllocatorError):
+            alloc.malloc_many([DEFAULT_LAYOUT.heap_end - DEFAULT_LAYOUT.heap_base])
+        with pytest.raises(AllocatorError):
+            alloc.malloc_many([-1])

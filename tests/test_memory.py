@@ -72,6 +72,11 @@ class TestBoundsChecks:
         with pytest.raises(MemoryError_):
             SparseMemory().read_bytes(-1, 8)
 
+    def test_write_u64_rejects_negative_address(self):
+        # -8 would land page-aligned inside a page without the range check.
+        with pytest.raises(MemoryError_):
+            SparseMemory().write_u64(-8, 1)
+
     def test_rejects_out_of_range(self):
         mem = SparseMemory(va_bits=46)
         with pytest.raises(MemoryError_):
@@ -99,3 +104,4 @@ def test_adjacent_writes_do_not_clobber(address):
     mem.write_u64(address, 0xAAAAAAAAAAAAAAAA)
     mem.write_u64(address + 8, 0xBBBBBBBBBBBBBBBB)
     assert mem.read_u64(address) == 0xAAAAAAAAAAAAAAAA
+

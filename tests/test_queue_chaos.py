@@ -118,8 +118,17 @@ class TestWorkerCrashChaos:
         queue_root = tmp_path / "q"
         queue = WorkQueue(queue_root, retry=RetryPolicy(max_retries=3))
         enqueue_campaign(queue, "chaos", CHAOS_CONFIG)
+        chaos = spawn_worker(queue_root, "w0", extra=["--kill-after-cells", "1"])
+        # Start the survivors only once w0 holds a lease (or has already
+        # acked): started together, they can drain the queue before w0
+        # claims anything, and w0 then exits cleanly instead of dying.
+        deadline = time.monotonic() + 30.0
+        while time.monotonic() < deadline:
+            if queue.counts("chaos").leased or queue.counts("chaos").done:
+                break
+            time.sleep(0.05)
         procs = [
-            spawn_worker(queue_root, "w0", extra=["--kill-after-cells", "1"]),
+            chaos,
             spawn_worker(queue_root, "w1"),
             spawn_worker(queue_root, "w2"),
         ]
